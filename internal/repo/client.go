@@ -2,10 +2,10 @@ package repo
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -28,9 +28,9 @@ import (
 type Client struct {
 	// Timeout bounds each request/response exchange — one LIST, GET or
 	// STAT, including the dial for its connection (default 10s). It is a
-	// per-request deadline, so one slow object can no longer starve the
-	// rest of a fetch; FetchAll and SyncIncremental layer SyncTimeout on
-	// top.
+	// per-request deadline, re-armed before each reply on a pipelined
+	// connection, so one slow object can no longer starve the rest of a
+	// fetch; FetchAll and SyncIncremental layer SyncTimeout on top.
 	Timeout time.Duration
 	// SyncTimeout bounds a whole FetchAll or SyncIncremental call,
 	// retries included (default 10× Timeout).
@@ -113,15 +113,144 @@ func (c *Client) dial(ctx context.Context, addr string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
+// pipeWindow is the most requests one connection has in flight: a window
+// of requests goes out in one write before any reply is read. Typical
+// request lines are about 64 bytes, so a full window is about 4 KiB;
+// pipeWindowBytes additionally closes a window early when long object
+// names (up to 512 bytes each) would make it larger. Either way the
+// requests in flight stay far below what a socket buffers for a peer that
+// is not reading, so client and server can never both block writing.
+const (
+	pipeWindow      = 64
+	pipeWindowBytes = 8 << 10
+)
+
+// verb is a request kind.
+type verb uint8
+
+const (
+	verbList verb = iota
+	verbGet
+	verbStat
+)
+
+func (v verb) String() string {
+	switch v {
+	case verbList:
+		return "LIST"
+	case verbGet:
+		return "GET"
+	}
+	return "STAT"
+}
+
+// exchange is one request to a publication point and, once answered, its
+// reply. err holds the request's own answer when the server rejected it
+// (an ERR line or a malformed reply, both permanent); transport failures
+// never land here — they are retried, and an exhausted one ends the whole
+// pipeline instead.
+type exchange struct {
+	verb verb
+	// name is the object name (GET and STAT; empty for LIST).
+	name string
+	// body (GET), info (STAT) and list (LIST) hold a successful reply.
+	body []byte
+	info ObjectInfo
+	list map[string]int
+	err  error
+}
+
+// writeRequest appends the request line to w and returns its length.
+// Errors are sticky in the bufio.Writer and surface at Flush.
+func (x *exchange) writeRequest(w *bufio.Writer, module string) int {
+	n := len(x.verb.String()) + 1 + len(module) + 1
+	_, _ = w.WriteString(x.verb.String())
+	_ = w.WriteByte(' ')
+	_, _ = w.WriteString(module)
+	if x.verb != verbList {
+		_ = w.WriteByte(' ')
+		_, _ = w.WriteString(x.name)
+		n += 1 + len(x.name)
+	}
+	_ = w.WriteByte('\n')
+	return n
+}
+
+// readReply reads the request's reply from r, filling the reply fields on
+// success. Permanent errors are the server's answer; any other error is a
+// transport failure.
+func (x *exchange) readReply(r *bufio.Reader, c *Client) error {
+	switch x.verb {
+	case verbList:
+		list, err := readList(r)
+		x.list = list
+		return err
+	case verbGet:
+		header, err := readLine(r)
+		if err != nil {
+			return fmt.Errorf("repo: reading GET response: %w", err)
+		}
+		size, err := parseOKCount(header, MaxObjectSize)
+		if err != nil {
+			return err
+		}
+		content := make([]byte, size)
+		if _, err := io.ReadFull(r, content); err != nil {
+			return fmt.Errorf("repo: reading object body: %w", err)
+		}
+		x.body = content
+		c.countBytes(size)
+		return nil
+	default:
+		line, err := readLineBytes(r)
+		if err != nil {
+			return fmt.Errorf("repo: reading STAT response: %w", err)
+		}
+		x.info, err = parseStatLine(line)
+		return err
+	}
+}
+
+// readList reads a LIST reply: the header, then one line per entry.
+func readList(r *bufio.Reader) (map[string]int, error) {
+	header, err := readLine(r)
+	if err != nil {
+		return nil, fmt.Errorf("repo: reading LIST response: %w", err)
+	}
+	n, err := parseOKCount(header, MaxListEntries)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]int, n)
+	for i := 0; i < n; i++ {
+		line, err := readLine(r)
+		if err != nil {
+			return nil, fmt.Errorf("repo: reading LIST entry: %w", err)
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
+			return nil, malformed(fmt.Errorf("repo: malformed LIST entry %q", line))
+		}
+		size, err := strconv.Atoi(fields[1])
+		if err != nil || size < 0 || size > MaxObjectSize {
+			return nil, malformed(fmt.Errorf("repo: bad size in LIST entry %q", line))
+		}
+		out[fields[0]] = size
+	}
+	return out, nil
+}
+
 // pointConn is one reusable connection to a publication point, with
-// per-request deadlines, breaker gating at (re)dial, and retry with
-// exponential backoff on transport failures. Context cancellation closes the
-// live connection immediately, so a sync aborts promptly even mid-read.
+// pipelined requests, per-request deadlines, breaker gating at (re)dial,
+// and retry with exponential backoff on transport failures. Context
+// cancellation closes the live connection immediately, so a sync aborts
+// promptly even mid-read.
 type pointConn struct {
 	c    *Client
 	uri  URI
 	conn net.Conn
 	r    *bufio.Reader
+	w    *bufio.Writer
 	stop func() bool // cancels the ctx→Close watcher
 }
 
@@ -147,36 +276,36 @@ func (pc *pointConn) ensure(ctx context.Context) error {
 	// Arm a deadline before anything wraps or touches the conn: even a
 	// caller that skips arm() can never do unbounded I/O on it, and a conn
 	// that refuses its deadline is discarded instead of trusted.
-	d := time.Now().Add(pc.c.timeout())
-	if dl, ok := ctx.Deadline(); ok && dl.Before(d) {
-		d = dl
-	}
-	if err := conn.SetDeadline(d); err != nil {
+	if err := conn.SetDeadline(pc.deadline(ctx)); err != nil {
 		_ = conn.Close()
 		pc.c.Breakers.Failure(pc.key())
 		return fmt.Errorf("repo: arming deadline on %s: %w", pc.uri.Host, err)
 	}
 	pc.conn = conn
 	pc.r = bufio.NewReader(conn)
+	pc.w = bufio.NewWriter(conn)
 	// A canceled context must interrupt a blocked read, not wait out the
 	// per-request deadline.
 	pc.stop = context.AfterFunc(ctx, func() { _ = conn.Close() })
 	return nil
 }
 
-// arm sets the per-request deadline on the live connection: Timeout from
-// now, clipped to the context's overall deadline. A connection that
-// refuses its deadline is dropped — an unarmed conn must never be used,
-// because unbounded I/O is exactly the slow-loris surface the deadline
-// exists to close.
-func (pc *pointConn) arm(ctx context.Context) error {
+// deadline is the per-request deadline: Timeout from now, clipped to the
+// context's overall deadline.
+func (pc *pointConn) deadline(ctx context.Context) time.Time {
 	d := time.Now().Add(pc.c.timeout())
 	if dl, ok := ctx.Deadline(); ok && dl.Before(d) {
 		d = dl
 	}
-	if err := pc.conn.SetDeadline(d); err != nil {
-		pc.c.Breakers.Failure(pc.key())
-		pc.drop()
+	return d
+}
+
+// arm sets the per-request deadline on the live connection. An error means
+// the connection refused it and must be dropped — an unarmed conn must
+// never be used, because unbounded I/O is exactly the slow-loris surface
+// the deadline exists to close.
+func (pc *pointConn) arm(ctx context.Context) error {
+	if err := pc.conn.SetDeadline(pc.deadline(ctx)); err != nil {
 		return fmt.Errorf("repo: arming deadline: %w", err)
 	}
 	return nil
@@ -192,54 +321,117 @@ func (pc *pointConn) drop() {
 		_ = pc.conn.Close()
 		pc.conn = nil
 		pc.r = nil
+		pc.w = nil
 	}
 }
 
-// request runs one request/response exchange: op is invoked with a live,
-// deadline-armed connection. Transport failures drop the connection, count
-// against the breaker and retry with backoff up to Retry.MaxRetries;
-// protocol rejections (permanent errors) keep the connection and return
-// immediately — the server answered.
-func (pc *pointConn) request(ctx context.Context, op func() error) error {
+// pipeline runs every exchange in xs, in order, over the point's
+// connection: requests go out a window at a time (see window) and replies
+// are read in request order. A server rejection (permanent error) is
+// recorded on its exchange and the pipeline continues. A transport failure
+// drops the connection, counts against the breaker and is charged as one
+// retry to the oldest unanswered exchange; after the backoff only the
+// unanswered exchanges are sent again. Every answered reply resets the
+// retry budget, so each request gets Retry.MaxRetries retries exactly as
+// if it ran alone. The pipeline stops at the first failure it cannot
+// retry — retries exhausted, breaker open, context done — and returns the
+// index of the exchange that failure is charged to with the error; it
+// returns (len(xs), nil) once every exchange is answered.
+func (pc *pointConn) pipeline(ctx context.Context, xs []exchange) (int, error) {
+	done, attempt := 0, 0
 	var lastErr error
-	for attempt := 0; ; attempt++ {
+	for done < len(xs) {
 		if err := ctx.Err(); err != nil {
 			if lastErr != nil {
-				return lastErr
+				return done, lastErr
 			}
-			return err
+			return done, err
 		}
 		err := pc.ensure(ctx)
 		if err == nil {
-			err = pc.arm(ctx)
-		}
-		if err == nil {
-			err = op()
-			if err == nil {
-				pc.c.Breakers.Success(pc.key())
-				return nil
+			var n int
+			n, err = pc.window(ctx, xs[done:])
+			if n > 0 {
+				done += n
+				attempt, lastErr = 0, nil
 			}
-			if !Retryable(err) {
-				// The exchange completed; the server is alive and said no.
-				pc.c.Breakers.Success(pc.key())
-				return err
+			if err == nil {
+				continue
 			}
 			pc.c.Breakers.Failure(pc.key())
 			pc.drop()
 		} else if !Retryable(err) {
 			// Circuit open (or context dead): fail fast, no backoff.
-			return err
+			return done, err
 		}
 		lastErr = err
 		if attempt >= pc.c.retryPolicy().MaxRetries {
-			return lastErr
+			return done, lastErr
 		}
 		pc.c.retries.Add(1)
 		pc.c.recordRetry(pc.key(), lastErr)
 		if werr := pc.c.retryPolicy().wait(ctx, attempt); werr != nil {
-			return lastErr
+			return done, lastErr
+		}
+		attempt++
+	}
+	return done, nil
+}
+
+// window sends the next window of xs — up to pipeWindow requests or
+// pipeWindowBytes of request lines — in one write, then reads their
+// replies in order, re-arming the per-request deadline before each. It
+// returns how many exchanges were answered; a non-nil error is a transport
+// failure that leaves the connection unusable. A malformed reply answers
+// its exchange but drops the connection, ending the window early.
+func (pc *pointConn) window(ctx context.Context, xs []exchange) (int, error) {
+	if err := pc.arm(ctx); err != nil {
+		return 0, err
+	}
+	n, size := 0, 0
+	for n < len(xs) && n < pipeWindow && size < pipeWindowBytes {
+		size += xs[n].writeRequest(pc.w, pc.uri.Module)
+		n++
+	}
+	if err := pc.w.Flush(); err != nil {
+		return 0, fmt.Errorf("repo: sending requests: %w", err)
+	}
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			if err := pc.arm(ctx); err != nil {
+				return i, err
+			}
+		}
+		x := &xs[i]
+		err := x.readReply(pc.r, pc.c)
+		if Retryable(err) {
+			return i, err
+		}
+		// The exchange completed: the server is alive, whatever it said.
+		x.err = err
+		pc.c.Breakers.Success(pc.key())
+		if desynced(err) {
+			pc.drop()
+			return i + 1, nil
 		}
 	}
+	return n, nil
+}
+
+// request runs one exchange — the pipeline's one-request case. The error
+// is a failure the pipeline could not retry or the server's rejection.
+func (pc *pointConn) request(ctx context.Context, v verb, name string) (exchange, error) {
+	xs := []exchange{{verb: v, name: name}}
+	if _, err := pc.pipeline(ctx, xs); err != nil {
+		return xs[0], err
+	}
+	return xs[0], xs[0].err
+}
+
+// list runs one LIST exchange on the point's connection.
+func (pc *pointConn) list(ctx context.Context) (map[string]int, error) {
+	x, err := pc.request(ctx, verbList, "")
+	return x.list, err
 }
 
 func (c *Client) retryPolicy() RetryPolicy {
@@ -249,93 +441,13 @@ func (c *Client) retryPolicy() RetryPolicy {
 	return c.Retry
 }
 
-// listOnce performs one LIST exchange on a live connection.
-func listOnce(conn net.Conn, r *bufio.Reader, module string) (map[string]int, error) {
-	//lint:ignore deadlinebeforeio conn arrives deadline-armed from pointConn.request (arm precedes every op)
-	if err := writeLine(conn, "LIST %s", module); err != nil {
-		return nil, fmt.Errorf("repo: sending LIST: %w", err)
-	}
-	header, err := readLine(r)
-	if err != nil {
-		return nil, fmt.Errorf("repo: reading LIST response: %w", err)
-	}
-	n, err := parseOKCount(header, MaxListEntries)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]int, n)
-	for i := 0; i < n; i++ {
-		line, err := readLine(r)
-		if err != nil {
-			return nil, fmt.Errorf("repo: reading LIST entry: %w", err)
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, permanent(fmt.Errorf("repo: malformed LIST entry %q", line))
-		}
-		size, err := strconv.Atoi(fields[1])
-		if err != nil || size < 0 || size > MaxObjectSize {
-			return nil, permanent(fmt.Errorf("repo: bad size in LIST entry %q", line))
-		}
-		out[fields[0]] = size
-	}
-	return out, nil
-}
-
-// getOnce performs one GET exchange on a live connection.
-func getOnce(conn net.Conn, r *bufio.Reader, module, name string) ([]byte, error) {
-	//lint:ignore deadlinebeforeio conn arrives deadline-armed from pointConn.request (arm precedes every op)
-	if err := writeLine(conn, "GET %s %s", module, name); err != nil {
-		return nil, fmt.Errorf("repo: sending GET: %w", err)
-	}
-	header, err := readLine(r)
-	if err != nil {
-		return nil, fmt.Errorf("repo: reading GET response: %w", err)
-	}
-	size, err := parseOKCount(header, MaxObjectSize)
-	if err != nil {
-		return nil, err
-	}
-	content := make([]byte, size)
-	if _, err := io.ReadFull(r, content); err != nil {
-		return nil, fmt.Errorf("repo: reading object body: %w", err)
-	}
-	return content, nil
-}
-
-// statOnce performs one STAT exchange on a live connection.
-func statOnce(conn net.Conn, r *bufio.Reader, module, name string) (ObjectInfo, error) {
-	//lint:ignore deadlinebeforeio conn arrives deadline-armed from pointConn.request (arm precedes every op)
-	if err := writeLine(conn, "STAT %s %s", module, name); err != nil {
-		return ObjectInfo{}, fmt.Errorf("repo: sending STAT: %w", err)
-	}
-	line, err := readLine(r)
-	if err != nil {
-		return ObjectInfo{}, fmt.Errorf("repo: reading STAT response: %w", err)
-	}
-	return parseStatLine(line)
-}
-
-// list is List without the overall deadline (callers wrap their own).
-func (c *Client) list(ctx context.Context, uri URI) (map[string]int, error) {
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
-	var out map[string]int
-	err := pc.request(ctx, func() error {
-		m, err := listOnce(pc.conn, pc.r, uri.Module)
-		if err == nil {
-			out = m
-		}
-		return err
-	})
-	return out, err
-}
-
 // List returns the object names and sizes available in the module.
 func (c *Client) List(ctx context.Context, uri URI) (map[string]int, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
-	return c.list(ctx, uri)
+	pc := &pointConn{c: c, uri: uri}
+	defer pc.drop()
+	return pc.list(ctx)
 }
 
 // Get fetches one object from the module.
@@ -344,16 +456,8 @@ func (c *Client) Get(ctx context.Context, uri URI, name string) ([]byte, error) 
 	defer cancel()
 	pc := &pointConn{c: c, uri: uri}
 	defer pc.drop()
-	var content []byte
-	err := pc.request(ctx, func() error {
-		b, err := getOnce(pc.conn, pc.r, uri.Module, name)
-		if err == nil {
-			content = b
-			c.countBytes(len(b))
-		}
-		return err
-	})
-	return content, err
+	x, err := pc.request(ctx, verbGet, name)
+	return x.body, err
 }
 
 // Stat fetches an object's size and hash without its content.
@@ -362,61 +466,55 @@ func (c *Client) Stat(ctx context.Context, uri URI, name string) (ObjectInfo, er
 	defer cancel()
 	pc := &pointConn{c: c, uri: uri}
 	defer pc.drop()
-	var info ObjectInfo
-	err := pc.request(ctx, func() error {
-		i, err := statOnce(pc.conn, pc.r, uri.Module, name)
-		if err == nil {
-			info = i
-		}
-		return err
-	})
-	return info, err
+	x, err := pc.request(ctx, verbStat, name)
+	return x.info, err
+}
+
+// sortedNames returns a listing's names in sorted order.
+func sortedNames(list map[string]int) []string {
+	names := make([]string, 0, len(list))
+	for name := range list {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // FetchAll lists the module and downloads every object, pipelining GETs
-// over up to Concurrency reused connections, returning name → content.
-// Objects that fail mid-fetch are reported via the error; partial results
-// are returned so a relying party can reason about incomplete information
-// (Side Effect 6). The first error is chosen deterministically (smallest
-// affected object name) regardless of connection scheduling.
+// over up to Concurrency reused connections (the first one is the LIST's),
+// returning name → content. Objects that fail mid-fetch are reported via
+// the error; partial results are returned so a relying party can reason
+// about incomplete information (Side Effect 6). The first error is chosen
+// deterministically (smallest affected object name) regardless of
+// connection scheduling.
 func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
-	names, err := c.list(ctx, uri)
+	pc := &pointConn{c: c, uri: uri}
+	defer pc.drop()
+	list, err := pc.list(ctx)
 	if err != nil {
 		return nil, err
 	}
-	ordered := make([]string, 0, len(names))
-	for name := range names {
-		ordered = append(ordered, name)
-	}
-	sort.Strings(ordered)
+	ordered := sortedNames(list)
 	if len(ordered) == 0 {
 		return make(map[string][]byte), nil
 	}
 
-	shards := c.concurrency()
-	if shards > len(ordered) {
-		shards = len(ordered)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	type shardResult struct {
-		files map[string][]byte
-		// errName orders errors canonically: the smallest object name the
-		// shard's error applies to.
-		errName string
-		err     error
-	}
+	shards := min(c.concurrency(), len(ordered))
 	results := make([]shardResult, shards)
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		// Round-robin over sorted names: shard s fetches ordered[s::shards].
+		spc := pc
+		if s > 0 {
+			spc = &pointConn{c: c, uri: uri}
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			results[s] = c.fetchShard(ctx, uri, ordered, s, shards)
+			defer spc.drop()
+			results[s] = spc.fetchShard(ctx, ordered, s, shards)
 		}(s)
 	}
 	wg.Wait()
@@ -435,48 +533,42 @@ func (c *Client) FetchAll(ctx context.Context, uri URI) (map[string][]byte, erro
 	return out, firstErr
 }
 
-// fetchShard downloads every shards-th name starting at offset s, reusing
-// one connection and redialing (with retries per the RetryPolicy) when it
-// fails. A protocol-level ERR for an object is recorded and the shard
-// continues; an exhausted transport failure or an open breaker aborts the
-// shard with its partial results.
-func (c *Client) fetchShard(ctx context.Context, uri URI, ordered []string, s, shards int) (res struct {
-	files   map[string][]byte
+// shardResult is one FetchAll shard's partial result.
+type shardResult struct {
+	files map[string][]byte
+	// errName orders errors canonically: the smallest object name the
+	// shard's error applies to.
 	errName string
 	err     error
-}) {
-	res.files = make(map[string][]byte)
-	fail := func(name string, err error) {
-		if res.err == nil || name < res.errName {
-			res.errName, res.err = name, err
-		}
+}
+
+// fail records err against object name, keeping the smallest name's.
+func (res *shardResult) fail(name string, err error) {
+	if res.err == nil || name < res.errName {
+		res.errName, res.err = name, fmt.Errorf("repo: object %q: %w", name, err)
 	}
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
+}
+
+// fetchShard downloads every shards-th name starting at offset s through
+// one pipeline. A protocol-level ERR for an object is recorded and the
+// shard continues; an exhausted transport failure or an open breaker
+// aborts the shard with its partial results.
+func (pc *pointConn) fetchShard(ctx context.Context, ordered []string, s, shards int) shardResult {
+	xs := make([]exchange, 0, (len(ordered)-s+shards-1)/shards)
 	for i := s; i < len(ordered); i += shards {
-		name := ordered[i]
-		if err := ctx.Err(); err != nil {
-			fail(name, err)
-			return res
-		}
-		err := pc.request(ctx, func() error {
-			content, err := getOnce(pc.conn, pc.r, uri.Module, name)
-			if err == nil {
-				res.files[name] = content
-				c.countBytes(len(content))
-			}
-			return err
-		})
-		if err == nil {
+		xs = append(xs, exchange{verb: verbGet, name: ordered[i]})
+	}
+	res := shardResult{files: make(map[string][]byte, len(xs))}
+	n, err := pc.pipeline(ctx, xs)
+	for _, x := range xs[:n] {
+		if x.err != nil {
+			res.fail(x.name, x.err)
 			continue
 		}
-		fail(name, fmt.Errorf("repo: object %q: %w", name, err))
-		if Retryable(err) || errors.Is(err, ErrCircuitOpen) || ctx.Err() != nil {
-			// Retries exhausted or the point is circuit-broken: the point
-			// is unhealthy, stop burning attempts on this shard.
-			return res
-		}
-		// Protocol-level rejection of this one object: keep going.
+		res.files[x.name] = x.body
+	}
+	if err != nil {
+		res.fail(xs[n].name, err)
 	}
 	return res
 }
@@ -489,24 +581,27 @@ type ObjectInfo struct {
 	Hash [32]byte
 }
 
-func parseStatLine(line string) (ObjectInfo, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 3 || fields[0] != "OK" {
-		if len(fields) > 0 && fields[0] == "ERR" {
-			return ObjectInfo{}, permanent(fmt.Errorf("repo: server error: %s", strings.TrimPrefix(line, "ERR ")))
+// parseStatLine parses a STAT reply. Only an ERR line leaves the
+// connection usable; any other unparseable reply is malformed.
+func parseStatLine(line []byte) (ObjectInfo, error) {
+	fields := bytes.Fields(line)
+	if len(fields) != 3 || string(fields[0]) != "OK" {
+		if len(fields) > 0 && string(fields[0]) == "ERR" {
+			return ObjectInfo{}, permanent(fmt.Errorf("repo: server error: %s", bytes.TrimPrefix(line, []byte("ERR "))))
 		}
-		return ObjectInfo{}, permanent(fmt.Errorf("repo: malformed STAT response %q", line))
+		return ObjectInfo{}, malformed(fmt.Errorf("repo: malformed STAT response %q", line))
 	}
-	size, err := strconv.Atoi(fields[1])
+	size, err := strconv.Atoi(string(fields[1]))
 	if err != nil || size < 0 || size > MaxObjectSize {
-		return ObjectInfo{}, permanent(fmt.Errorf("repo: bad size in %q", line))
-	}
-	hash, err := hex.DecodeString(fields[2])
-	if err != nil || len(hash) != 32 {
-		return ObjectInfo{}, permanent(fmt.Errorf("repo: bad hash in %q", line))
+		return ObjectInfo{}, malformed(fmt.Errorf("repo: bad size in %q", line))
 	}
 	info := ObjectInfo{Size: size}
-	copy(info.Hash[:], hash)
+	if hex.DecodedLen(len(fields[2])) != len(info.Hash) {
+		return ObjectInfo{}, malformed(fmt.Errorf("repo: bad hash in %q", line))
+	}
+	if _, err := hex.Decode(info.Hash[:], fields[2]); err != nil {
+		return ObjectInfo{}, malformed(fmt.Errorf("repo: bad hash in %q", line))
+	}
 	return info, nil
 }
 
@@ -530,69 +625,57 @@ type SyncResult struct {
 // SyncIncremental brings prev (a previous FetchAll/SyncIncremental result;
 // may be nil) up to date, transferring only objects whose STAT hash differs
 // — the rsync-style delta mode. It returns the new complete snapshot.
-// Transport failures retry per the RetryPolicy (redialing as needed); an
-// exhausted failure fails the sync so the caller can fall back to its
-// previous snapshot.
+//
+// The whole call runs on one connection: LIST, then one pipeline that
+// STATs every object whose size matches prev and GETs the rest, then one
+// pipeline that GETs the objects whose STAT hash differed. Transport
+// failures retry per the RetryPolicy (redialing as needed); an exhausted
+// failure fails the sync so the caller can fall back to its previous
+// snapshot.
 func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][]byte) (*SyncResult, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.syncTimeout())
 	defer cancel()
-	names, err := c.list(ctx, uri)
+	pc := &pointConn{c: c, uri: uri}
+	defer pc.drop()
+	list, err := pc.list(ctx)
 	if err != nil {
 		return nil, err
 	}
-	res := &SyncResult{Files: make(map[string][]byte, len(names))}
-	pc := &pointConn{c: c, uri: uri}
-	defer pc.drop()
-
-	ordered := make([]string, 0, len(names))
-	for name := range names {
-		ordered = append(ordered, name)
-	}
-	sort.Strings(ordered)
-	for _, name := range ordered {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		old, have := prev[name]
-		if have && len(old) == names[name] {
+	res := &SyncResult{Files: make(map[string][]byte, len(list))}
+	ordered := sortedNames(list)
+	xs := make([]exchange, len(ordered))
+	for i, name := range ordered {
+		xs[i] = exchange{verb: verbGet, name: name}
+		if old, have := prev[name]; have && len(old) == list[name] {
 			// Sizes match: confirm with STAT before skipping the download.
-			var info ObjectInfo
-			err := pc.request(ctx, func() error {
-				i, err := statOnce(pc.conn, pc.r, uri.Module, name)
-				if err == nil {
-					info = i
-				}
-				return err
-			})
-			switch {
-			case err == nil && info.Hash == sha256.Sum256(old):
-				res.Files[name] = old
-				res.Reused++
-				continue
-			case err != nil && (Retryable(err) || errors.Is(err, ErrCircuitOpen)):
-				return nil, fmt.Errorf("repo: STAT %q: %w", name, err)
-			}
-			// STAT rejected or hash changed: fall through to the download.
+			xs[i].verb = verbStat
 		}
-		// Download (new, resized, or hash-changed object).
-		var content []byte
-		var gotIt bool
-		err := pc.request(ctx, func() error {
-			b, err := getOnce(pc.conn, pc.r, uri.Module, name)
-			if err == nil {
-				content, gotIt = b, true
-				c.countBytes(len(b))
-			}
-			return err
-		})
-		if err != nil {
-			if Retryable(err) || errors.Is(err, ErrCircuitOpen) {
-				return nil, fmt.Errorf("repo: fetching %q: %w", name, err)
-			}
-			continue // vanished between LIST and GET; treat as absent
+	}
+	if err := pc.syncPipeline(ctx, xs); err != nil {
+		return nil, err
+	}
+	var refetch []exchange
+	for i := range xs {
+		x := &xs[i]
+		switch {
+		case x.verb == verbStat && x.err == nil && x.info.Hash == sha256.Sum256(prev[x.name]):
+			res.Files[x.name] = prev[x.name]
+			res.Reused++
+		case x.verb == verbStat:
+			// STAT rejected or hash changed: download it.
+			refetch = append(refetch, exchange{verb: verbGet, name: x.name})
+		case x.err == nil:
+			res.Files[x.name] = x.body
+			res.Downloaded++
 		}
-		if gotIt {
-			res.Files[name] = content
+		// A rejected GET: vanished between LIST and GET; treat as absent.
+	}
+	if err := pc.syncPipeline(ctx, refetch); err != nil {
+		return nil, err
+	}
+	for _, x := range refetch {
+		if x.err == nil {
+			res.Files[x.name] = x.body
 			res.Downloaded++
 		}
 	}
@@ -606,4 +689,17 @@ func (c *Client) SyncIncremental(ctx context.Context, uri URI, prev map[string][
 	// they prove byte-identity with prev.
 	res.Unchanged = prev != nil && res.Downloaded == 0 && res.Removed == 0
 	return res, nil
+}
+
+// syncPipeline runs xs for SyncIncremental, naming the exchange a fatal
+// failure is charged to.
+func (pc *pointConn) syncPipeline(ctx context.Context, xs []exchange) error {
+	i, err := pc.pipeline(ctx, xs)
+	if err == nil {
+		return nil
+	}
+	if xs[i].verb == verbStat {
+		return fmt.Errorf("repo: STAT %q: %w", xs[i].name, err)
+	}
+	return fmt.Errorf("repo: fetching %q: %w", xs[i].name, err)
 }

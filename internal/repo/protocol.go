@@ -28,6 +28,22 @@ import (
 //
 // STAT lets a client skip re-downloading unchanged objects — the delta
 // behavior that makes rsync rsync.
+//
+// Requests may be pipelined: a client may send several requests before
+// reading any reply, and the server answers them strictly in request order
+// on the same connection. The Client keeps a window of at most pipeWindow
+// (64) requests in flight per connection, written in one batch — about
+// 4 KiB of request lines, far less than a socket buffers for a peer that is
+// not reading, so client and server never both block writing. It reads the
+// replies in order and re-arms the per-request deadline (Client.Timeout)
+// before each one, so every exchange stays bounded as if it ran alone. A
+// transport failure is charged as one retry to the oldest unanswered
+// request, and only the unanswered requests are sent again on a fresh
+// connection; each answered reply resets the retry budget. An ERR line
+// answers its one request and leaves the connection usable; a reply the
+// client cannot frame (a malformed header, count, listing entry or STAT
+// line) ends the connection, because the bytes after it cannot be trusted
+// to be the start of the next reply.
 const (
 	maxLineLen = 4096
 	// MaxObjectSize bounds a single fetched object (defense against a
@@ -80,24 +96,32 @@ func (u URI) ObjectURI(name string) string {
 // entire newline-free stream before a post-hoc length check could reject it,
 // handing a malicious server an unbounded-memory primitive.
 func readLine(r *bufio.Reader) (string, error) {
+	line, err := readLineBytes(r)
+	return string(line), err
+}
+
+// readLineBytes is readLine without the string copy: the returned line
+// (newline stripped) may alias r's buffer and is valid only until the next
+// read from r.
+func readLineBytes(r *bufio.Reader) ([]byte, error) {
 	var buf []byte
 	for {
 		chunk, err := r.ReadSlice('\n')
 		if len(buf)+len(chunk) > maxLineLen {
-			return "", fmt.Errorf("repo: protocol line too long (> %d bytes)", maxLineLen)
+			return nil, fmt.Errorf("repo: protocol line too long (> %d bytes)", maxLineLen)
 		}
 		if err == nil {
 			if buf == nil {
-				return strings.TrimSuffix(string(chunk), "\n"), nil
+				return chunk[:len(chunk)-1], nil
 			}
 			buf = append(buf, chunk...)
-			return strings.TrimSuffix(string(buf), "\n"), nil
+			return buf[:len(buf)-1], nil
 		}
 		if err == bufio.ErrBufferFull {
 			buf = append(buf, chunk...)
 			continue
 		}
-		return "", err
+		return nil, err
 	}
 }
 
@@ -109,18 +133,19 @@ func writeLine(w io.Writer, format string, args ...any) error {
 
 // parseOKCount parses an "OK <n>" header with a bound. Its errors are
 // permanent: the server completed the exchange, retrying cannot change the
-// answer.
+// answer. Only an ERR line leaves the connection usable; any other reply is
+// malformed, and a body may follow it that the client cannot skip.
 func parseOKCount(line string, bound int) (int, error) {
 	fields := strings.Fields(line)
 	if len(fields) != 2 || fields[0] != "OK" {
 		if len(fields) > 0 && fields[0] == "ERR" {
 			return 0, permanent(fmt.Errorf("repo: server error: %s", strings.TrimPrefix(line, "ERR ")))
 		}
-		return 0, permanent(fmt.Errorf("repo: malformed response %q", line))
+		return 0, malformed(fmt.Errorf("repo: malformed response %q", line))
 	}
 	n, err := strconv.Atoi(fields[1])
 	if err != nil || n < 0 || n > bound {
-		return 0, permanent(fmt.Errorf("repo: count %q out of range", fields[1]))
+		return 0, malformed(fmt.Errorf("repo: count %q out of range", fields[1]))
 	}
 	return n, nil
 }

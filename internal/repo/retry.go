@@ -10,10 +10,12 @@ import (
 // RetryPolicy bounds how a Client retries requests that fail at the
 // transport level (dial errors, dropped connections, per-request timeouts).
 // Protocol-level rejections — an ERR response, a malformed frame — are never
-// retried: the server answered, it just said no. The zero RetryPolicy
-// performs no retries, preserving the pre-resilience behavior where one
-// transient fault dropped the whole subtree for that sync (the paper's Side
-// Effect 6 at its most pessimistic).
+// retried: the server answered, it just said no. Retries are budgeted per
+// request: on a pipelined connection a transport failure is charged to the
+// oldest unanswered request, and every answered reply resets the budget.
+// The zero RetryPolicy performs no retries, preserving the pre-resilience
+// behavior where one transient fault dropped the whole subtree for that
+// sync (the paper's Side Effect 6 at its most pessimistic).
 type RetryPolicy struct {
 	// MaxRetries is the number of additional attempts after the first
 	// failure (0: fail on the first transport error).
@@ -88,17 +90,37 @@ func (p RetryPolicy) wait(ctx context.Context, attempt int) error {
 
 // permanentError marks failures that retrying cannot fix: the server
 // completed the exchange and rejected it at the protocol level.
-type permanentError struct{ err error }
+type permanentError struct {
+	err error
+	// desync marks a reply whose framing was malformed: the connection's
+	// byte stream no longer lines up with its requests, so the connection
+	// must be dropped (the rejection itself still stands).
+	desync bool
+}
 
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// permanent wraps err as non-retryable.
+// permanent wraps err as non-retryable: an ERR answer, after which the
+// connection stays usable.
 func permanent(err error) error {
 	if err == nil {
 		return nil
 	}
 	return &permanentError{err: err}
+}
+
+// malformed wraps err as non-retryable and fatal to the connection: a reply
+// the client could not frame, so whatever follows it on the wire may be the
+// rest of this reply rather than the next one.
+func malformed(err error) error {
+	return &permanentError{err: err, desync: true}
+}
+
+// desynced reports whether err came from a malformed reply.
+func desynced(err error) bool {
+	var p *permanentError
+	return errors.As(err, &p) && p.desync
 }
 
 // Retryable reports whether a fetch error is a transport-level failure worth

@@ -184,17 +184,33 @@ func (s *Server) handle(conn net.Conn) {
 			_ = writeLine(w, "ERR unknown command %q", fields[0])
 			return
 		}
-		if err := w.Flush(); err != nil {
-			return
+		// Answer a pipelined batch of requests in one write: flush only
+		// once no further request is already buffered.
+		if r.Buffered() == 0 {
+			if err := w.Flush(); err != nil {
+				return
+			}
 		}
 	}
+}
+
+// pause flushes the replies already written, then sleeps d. A delayed
+// request must not hold back the answers to requests pipelined before it:
+// the client times each reply separately and would charge the delay to the
+// wrong request. It reports false if the connection is dead.
+func pause(w *bufio.Writer, d time.Duration) bool {
+	if err := w.Flush(); err != nil {
+		return false
+	}
+	time.Sleep(d)
+	return true
 }
 
 // moduleFor resolves a module, applying connection-level faults: refusal,
 // global delay, the scripted schedule, and the module-level ("") fail rate.
 // ok=false means the connection should be dropped as if the server were
 // unreachable.
-func (s *Server) moduleFor(name string) (*Module, bool, error) {
+func (s *Server) moduleFor(w *bufio.Writer, name string) (*Module, bool, error) {
 	m, found := s.Module(name)
 	if !found {
 		return nil, true, fmt.Errorf("no such module %q", name)
@@ -202,8 +218,8 @@ func (s *Server) moduleFor(name string) (*Module, bool, error) {
 	if m.Faults.refusing() {
 		return nil, false, nil
 	}
-	if d := m.Faults.currentDelay(); d > 0 {
-		time.Sleep(d)
+	if d := m.Faults.currentDelay(); d > 0 && !pause(w, d) {
+		return nil, false, nil
 	}
 	switch m.Faults.scriptAction() {
 	case ActDropConn:
@@ -218,7 +234,7 @@ func (s *Server) moduleFor(name string) (*Module, bool, error) {
 }
 
 func (s *Server) serveList(w *bufio.Writer, module string) bool {
-	m, keep, err := s.moduleFor(module)
+	m, keep, err := s.moduleFor(w, module)
 	if !keep {
 		return false
 	}
@@ -226,28 +242,19 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 		_ = writeLine(w, "ERR %v", err)
 		return true
 	}
-	snapshot := m.Store.Snapshot()
-	names := make([]string, 0, len(snapshot))
-	for name := range snapshot {
-		names = append(names, name)
+	sizes := m.Store.Sizes()
+	names := make([]string, 0, len(sizes))
+	for name := range sizes {
+		if !m.Faults.dropped(name) {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
-	type entry struct {
-		name string
-		size int
-	}
-	var entries []entry
-	for _, name := range names {
-		if m.Faults.dropped(name) {
-			continue
-		}
-		entries = append(entries, entry{name, len(snapshot[name])})
-	}
-	if err := writeLine(w, "OK %d", len(entries)); err != nil {
+	if err := writeLine(w, "OK %d", len(names)); err != nil {
 		return false
 	}
-	for _, e := range entries {
-		if err := writeLine(w, "%s %d", e.name, e.size); err != nil {
+	for _, name := range names {
+		if err := writeLine(w, "%s %d", name, sizes[name]); err != nil {
 			return false
 		}
 	}
@@ -255,7 +262,7 @@ func (s *Server) serveList(w *bufio.Writer, module string) bool {
 }
 
 func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
-	m, keep, err := s.moduleFor(module)
+	m, keep, err := s.moduleFor(w, module)
 	if !keep {
 		return false
 	}
@@ -267,8 +274,8 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 		_ = writeLine(w, "ERR invalid object name")
 		return true
 	}
-	if d := m.Faults.objectDelay(name); d > 0 {
-		time.Sleep(d)
+	if d := m.Faults.objectDelay(name); d > 0 && !pause(w, d) {
+		return false
 	}
 	if m.Faults.shouldFail(name) {
 		return false
@@ -295,11 +302,10 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 		// is nearly zero — only a per-request deadline (and the breaker
 		// above it) defends against this.
 		for i := range content {
-			time.Sleep(d)
-			if err := w.WriteByte(content[i]); err != nil {
+			if !pause(w, d) {
 				return false
 			}
-			if err := w.Flush(); err != nil {
+			if err := w.WriteByte(content[i]); err != nil {
 				return false
 			}
 		}
@@ -315,15 +321,11 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 			chunk = 1
 		}
 		for off := 0; off < len(content); off += chunk {
-			time.Sleep(100 * time.Millisecond)
-			end := off + chunk
-			if end > len(content) {
-				end = len(content)
-			}
-			if _, err := w.Write(content[off:end]); err != nil {
+			if !pause(w, 100*time.Millisecond) {
 				return false
 			}
-			if err := w.Flush(); err != nil {
+			end := min(off+chunk, len(content))
+			if _, err := w.Write(content[off:end]); err != nil {
 				return false
 			}
 		}
@@ -339,7 +341,7 @@ func (s *Server) serveGet(w *bufio.Writer, module, name string) bool {
 // after applying the same fault plan as GET (a corrupted object reports the
 // corrupted hash — the client must not be able to detect faults for free).
 func (s *Server) serveStat(w *bufio.Writer, module, name string) bool {
-	m, keep, err := s.moduleFor(module)
+	m, keep, err := s.moduleFor(w, module)
 	if !keep {
 		return false
 	}
@@ -351,30 +353,36 @@ func (s *Server) serveStat(w *bufio.Writer, module, name string) bool {
 		_ = writeLine(w, "ERR invalid object name")
 		return true
 	}
-	if d := m.Faults.objectDelay(name); d > 0 {
-		time.Sleep(d)
+	if d := m.Faults.objectDelay(name); d > 0 && !pause(w, d) {
+		return false
 	}
 	if m.Faults.shouldFail(name) {
 		return false
 	}
-	content, ok := m.Store.Get(name)
+	size, sum, ok := m.Store.Stat(name)
 	if !ok || m.Faults.dropped(name) {
 		_ = writeLine(w, "ERR no such object %q", name)
 		return true
 	}
 	if m.Faults.corrupted(name) || m.Faults.shouldCorrupt(name) {
+		// Hash exactly the bytes GET would serve.
+		content, ok := m.Store.Get(name)
+		if !ok {
+			_ = writeLine(w, "ERR no such object %q", name)
+			return true
+		}
 		content = corruptBytes(content)
+		size, sum = len(content), sha256.Sum256(content)
 	}
-	sum := sha256.Sum256(content)
 	if m.Faults.statTruncated(name) {
 		// Tear the response line in half and drop the connection: the
 		// incremental protocol fails while GET still serves cleanly.
-		line := fmt.Sprintf("OK %d %s", len(content), hex.EncodeToString(sum[:]))
+		line := fmt.Sprintf("OK %d %s", size, hex.EncodeToString(sum[:]))
 		_, _ = w.WriteString(line[:len(line)/2])
 		_ = w.Flush()
 		return false
 	}
-	return writeLine(w, "OK %d %s", len(content), hex.EncodeToString(sum[:])) == nil
+	return writeLine(w, "OK %d %s", size, hex.EncodeToString(sum[:])) == nil
 }
 
 // Serve is a convenience for tests: start a server for a single module on

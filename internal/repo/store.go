@@ -13,6 +13,7 @@
 package repo
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 	"sync"
@@ -102,6 +103,33 @@ func (s *Store) Get(name string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), content...), true
+}
+
+// Stat returns an object's size and SHA-256, hashing the stored bytes in
+// place under the shard's read lock instead of copying them out.
+func (s *Store) Stat(name string) (size int, sum [32]byte, ok bool) {
+	sh := &s.shards[shardIndex(name)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	content, ok := sh.files[name]
+	if !ok {
+		return 0, sum, false
+	}
+	return len(content), sha256.Sum256(content), true
+}
+
+// Sizes returns every object's size, copying no content.
+func (s *Store) Sizes() map[string]int {
+	out := make(map[string]int, s.Len())
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for name, content := range sh.files {
+			out[name] = len(content)
+		}
+		sh.mu.RUnlock()
+	}
+	return out
 }
 
 // List returns the sorted names of all published objects.

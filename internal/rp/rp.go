@@ -27,6 +27,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -275,6 +276,10 @@ type RelyingParty struct {
 	// met holds the metric handles registered on Config.Obs (nil when
 	// observability is off; every update is then a nil-receiver no-op).
 	met *rpMetrics
+	// recentVRPs holds the Result.VRPs of the last two syncs with
+	// different VRP sets, newest first, handed out again when a sync's set
+	// equals one of them (see mergeVRPs).
+	recentVRPs [2][]rov.VRP
 }
 
 // New creates a relying party over the given trust anchors.
@@ -313,7 +318,12 @@ func (rp *RelyingParty) now() time.Time {
 
 // Result is the outcome of one synchronization pass.
 type Result struct {
-	// VRPs is the validated cache of ROA payloads.
+	// VRPs is the validated cache of ROA payloads, canonically sorted,
+	// with len == cap. It is read-only: when a sync's VRPs equal those of
+	// the previous sync, or of the sync before the last change, that
+	// earlier Result's slice is returned again. A steady poll of an
+	// unchanged world, and an action followed by its undo, therefore
+	// allocate no new VRP array that retained results would keep alive.
 	VRPs []rov.VRP
 	// Diagnostics lists every problem encountered, in canonical order
 	// (module, object, kind, message) regardless of worker count.
@@ -465,7 +475,9 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 		}
 		st.mu.Unlock()
 	}
-	rov.SortVRPs(res.VRPs)
+	st.mu.Lock()
+	res.VRPs = rp.mergeVRPs(st.vrps)
+	st.mu.Unlock()
 	sortDiagnostics(res.Diagnostics)
 	res.VerifyCacheHits = int(st.cacheHits.Load())
 	res.VerifyCacheMisses = int(st.cacheMisses.Load())
@@ -483,6 +495,38 @@ func (rp *RelyingParty) Sync(ctx context.Context) (*Result, error) {
 	rp.met.recordResult(res, end.Sub(now).Seconds())
 	rp.met.lastSyncUnixtime.Set(float64(end.Unix()))
 	return res, nil
+}
+
+// mergeVRPs concatenates the modules' VRP slices once, at their exact
+// total, and sorts the result. When it equals one of the two recent VRP
+// sets — unchanged since the last sync, or flipped back to the set before
+// the last change (an authority's action undone, a point failing over and
+// back) — that earlier slice is returned instead and the new one becomes
+// garbage at once. The comparison is by content, so the reuse is correct
+// even if a caller broke the read-only contract and reordered an earlier
+// slice.
+func (rp *RelyingParty) mergeVRPs(parts [][]rov.VRP) []rov.VRP {
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	var vrps []rov.VRP
+	if total > 0 {
+		vrps = make([]rov.VRP, 0, total)
+		for _, p := range parts {
+			vrps = append(vrps, p...)
+		}
+		rov.SortVRPs(vrps)
+	}
+	recent := &rp.recentVRPs
+	switch {
+	case slices.Equal(vrps, recent[0]):
+	case slices.Equal(vrps, recent[1]):
+		recent[0], recent[1] = recent[1], recent[0]
+	default:
+		recent[0], recent[1] = vrps, recent[0]
+	}
+	return recent[0]
 }
 
 // sumsPool recycles the per-module hashing scratch. Digest values are copied
@@ -541,6 +585,9 @@ type syncState struct {
 	// fetched records each point's cleanly-fetched files for the LKG commit
 	// at the end of Sync (nil when LKG is disabled). guarded by mu.
 	fetched map[string]map[string][]byte
+	// vrps collects each merged module's VRP slice for one exact-size
+	// concatenation at the end of Sync. guarded by mu.
+	vrps [][]rov.VRP
 
 	// Atomic counters; not covered by mu.
 	cacheHits, cacheMisses atomic.Int64
@@ -884,7 +931,7 @@ func (st *syncState) reuseModule(e *moduleEntry, uri repo.URI, depth int) {
 	st.res.ModulesReused++
 	st.res.ROAsAccepted += e.roas
 	st.res.CertsAccepted += e.certs
-	st.res.VRPs = append(st.res.VRPs, e.vrps...)
+	st.vrps = append(st.vrps, e.vrps)
 	st.mu.Unlock()
 	if e.files != nil { // digest-only (streaming) entries keep no snapshot
 		st.recordFetched(uri.Module, e.files)
@@ -918,7 +965,7 @@ func (st *syncState) commitModule(uri repo.URI, authority *cert.ResourceCert, ef
 	st.mu.Lock()
 	st.res.ROAsAccepted += mb.roas
 	st.res.CertsAccepted += mb.certs
-	st.res.VRPs = append(st.res.VRPs, mb.vrps...)
+	st.vrps = append(st.vrps, mb.vrps)
 	st.mu.Unlock()
 	if !mb.memoizable || st.rp.memo == nil {
 		return

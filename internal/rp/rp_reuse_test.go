@@ -2,10 +2,13 @@ package rp
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/ipres"
+	"repro/internal/rov"
 )
 
 // syncReuse runs one Sync on an existing relying party and fails the test
@@ -208,5 +211,50 @@ func TestModuleReuseTaintedNotCached(t *testing.T) {
 	}
 	if got, want := fingerprint(warm), fingerprint(cold); got != want {
 		t.Errorf("warm resync of tainted world diverged:\n--- warm ---\n%s--- cold ---\n%s", got, want)
+	}
+}
+
+// TestUnchangedResyncReusesVRPArray: a re-sync of an unchanged world hands
+// back the previous Result's VRP slice itself, so callers that keep every
+// Result do not accumulate one VRP array per poll; a changed world gets a
+// new, exactly sized array, and undoing the change hands back the array
+// from before it.
+func TestUnchangedResyncReusesVRPArray(t *testing.T) {
+	arin, _, continental, stores := buildFigure2(t)
+	relying := New(Config{Fetcher: stores, Clock: clock, Workers: 4},
+		TrustAnchor{CertDER: arin.Cert.Raw, URI: arin.URI})
+	same := func(a, b []rov.VRP) bool {
+		return unsafe.SliceData(a) == unsafe.SliceData(b) && len(a) == len(b)
+	}
+	cold := syncReuse(t, relying)
+	if len(cold.VRPs) == 0 || len(cold.VRPs) != cap(cold.VRPs) {
+		t.Fatalf("cold VRPs: len %d cap %d, want len == cap > 0", len(cold.VRPs), cap(cold.VRPs))
+	}
+	if warm := syncReuse(t, relying); !same(warm.VRPs, cold.VRPs) {
+		t.Error("unchanged re-sync should return the previous sync's VRP array")
+	}
+
+	if err := continental.DeleteROA("cont-22"); err != nil {
+		t.Fatal(err)
+	}
+	changed := syncReuse(t, relying)
+	if unsafe.SliceData(changed.VRPs) == unsafe.SliceData(cold.VRPs) {
+		t.Fatal("a changed world must get a new VRP array")
+	}
+	if len(changed.VRPs) != cap(changed.VRPs) || len(changed.VRPs) >= len(cold.VRPs) {
+		t.Errorf("changed VRPs: len %d cap %d, cold len %d", len(changed.VRPs), cap(changed.VRPs), len(cold.VRPs))
+	}
+	if !slices.Equal(changed.VRPs, syncWithWorkers(t, arin, stores, 4).VRPs) {
+		t.Error("changed world's VRPs diverge from a fresh validation")
+	}
+
+	// Undo the deletion: the VRP set is the cold one again.
+	mustROA(t, continental, "cont-22", 7341, "63.174.16.0/22")
+	restored := syncReuse(t, relying)
+	if !same(restored.VRPs, cold.VRPs) {
+		t.Error("a world restored to the set before the last change should return that set's array")
+	}
+	if again := syncReuse(t, relying); !same(again.VRPs, cold.VRPs) {
+		t.Error("unchanged re-sync after a restore should keep returning the same array")
 	}
 }
